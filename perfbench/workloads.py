@@ -244,9 +244,11 @@ class AxisCold(Workload):
         "and following leaf relations, so XML parsing and axis-relation build dominate"
     )
     #: Node counts of the trees of one round; the seed draws their shapes.
-    #: Twelve distinct sizes, so the median operation falls among close
-    #: neighbours rather than between two size classes.
-    SIZES = tuple(range(300, 500, 18))
+    #: Fifty sizes 4 nodes apart, so operation costs form a continuum and
+    #: the median does not fall into a gap between two size classes.
+    SIZES = tuple(range(300, 500, 4))
+    #: Operations of the warm-up at set-up.
+    WARM_UP = 10
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -263,8 +265,9 @@ class AxisCold(Workload):
             self.ops.append((doc, [inputs.unary_query(s) for s in steps], steps))
         rng.shuffle(self.ops)
         self.session = Session(execution=execution_policy())
-        # Warm-up: one round, which also makes set-up long enough to time.
-        for op in self.ops:
+        # Warm-up: the first operations of the round, which also makes
+        # set-up long enough to time.
+        for op in self.ops[: self.WARM_UP]:
             self.execute(op)
 
     def expected(self) -> None:
