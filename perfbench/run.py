@@ -4,12 +4,14 @@ Usage (from the root of a checkout)::
 
     python3 perfbench/run.py --workload nary-output --seed 1 --seconds 40 --trace 0
 
-The workload is set up three times (``setup_s`` is the median), its
-answers are computed apart from the program, and whole rounds of its
-operations run for ``--seconds`` with one operation outstanding at a time.
-Every answer is checked outside the operation's time.  With ``--trace 1``
-the first half of the time runs untraced and the second half calls each
-layer separately, and the per-layer metrics are printed instead.  The last
+The workload is set up, its answers are computed apart from the program,
+and whole rounds of its operations run for ``--seconds`` with one operation
+outstanding at a time.  Every answer is checked outside the operation's
+time.  The workload is set up again four times between rounds, spread over
+the run, and ``setup_s`` is the median of the five set-ups.  With
+``--trace 1`` the workload is set up once, the first half of the time runs
+untraced and the second half calls each layer separately, and the
+per-layer metrics are printed instead.  The last
 line of standard output is one JSON object: ``correct``, ``attempted``,
 ``failed`` and ``metrics``.
 """
@@ -28,7 +30,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SETUP_REPEATS = 3
+SETUP_REPEATS = 5
 
 #: Per-layer metrics of a traced run: (name, unit, better).
 PER_LAYER = [
@@ -110,7 +112,9 @@ class Pass:
         self.failed = 0
         self.wrong = 0
 
-    def run(self, workload, seconds: float, perform) -> "Pass":
+    def run(self, workload, seconds: float, perform, between_rounds=None) -> "Pass":
+        """``between_rounds(elapsed)``, if given, runs after each round but the
+        last and returns how long it took, which does not count as run time."""
         started = time.perf_counter()
         while True:
             for op in workload.ops:
@@ -126,14 +130,48 @@ class Pass:
                 self.latencies.append(time.perf_counter() - began)
                 if not workload.check(op, out):
                     self.wrong += 1
-            if time.perf_counter() - started >= seconds:
+            elapsed = time.perf_counter() - started
+            if elapsed >= seconds:
                 return self
+            if between_rounds is not None:
+                started += between_rounds(elapsed)
+
+
+def timed_setup(workload) -> float:
+    started = time.perf_counter()
+    workload.setup()
+    return time.perf_counter() - started
+
+
+def timed_run(workload, seconds: float, setups: list) -> Pass:
+    """Time whole rounds for ``seconds``, setting up again between rounds.
+
+    The workload is set up before the first round and again after each round
+    that ends a further fifth of the run, so the set-ups meet the machine
+    over the whole run, as the operations do, and not in its first seconds
+    only.  Each set-up starts from scratch and rebuilds the same corpus;
+    its time is added to ``setups``, which holds the first one already.
+    """
+    def set_up_again(elapsed: float) -> float:
+        if elapsed < len(setups) * seconds / SETUP_REPEATS or len(setups) == SETUP_REPEATS:
+            return 0.0
+        started = time.perf_counter()
+        workload.close()
+        setups.append(timed_setup(workload))
+        return time.perf_counter() - started
+
+    timed = Pass().run(workload, seconds, workload.execute, set_up_again)
+    while len(setups) < SETUP_REPEATS:  # rounds too long to fit them all in
+        workload.close()
+        setups.append(timed_setup(workload))
+    return timed
 
 
 def end_to_end(workload, setups: list, timed: Pass) -> dict:
     latencies = timed.latencies
     print(f"# {len(latencies)} latency samples, "
           f"{timed.attempted // len(workload.ops)} rounds of {len(workload.ops)} operations")
+    print(f"# set-ups: {', '.join(f'{setup:.3f}' for setup in setups)} s")
     return {
         "latency_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
         "latency_p95_ms": (percentile(latencies, 0.95) * 1e3, "ms"),
@@ -217,19 +255,13 @@ def main(argv=None) -> int:
     print(f"# reference loop before: {reference_loop_ms():.3f} ms")
     cpu_before = cpu_times()
 
-    setups = []
-    for attempt in range(SETUP_REPEATS):
-        if attempt:
-            workload.close()
-        started = time.perf_counter()
-        workload.setup()
-        setups.append(time.perf_counter() - started)
+    setups = [timed_setup(workload)]
     workload.expected()
     try:
         if args.trace:
             metrics, *passes = per_layer(workload, args.seconds)
         else:
-            timed = Pass().run(workload, args.seconds, workload.execute)
+            timed = timed_run(workload, args.seconds, setups)
             metrics, passes = end_to_end(workload, setups, timed), [timed]
     finally:
         workload.close()

@@ -10,7 +10,8 @@ quartiles (``statistics.quantiles(values, n=4)``), the spread between them
 as a share of the median, and the min-max spread.  Each run's line also
 gives its reference-loop timings, taken before and after it, and the share
 of the machine's CPU time stolen by the hypervisor during it: they show how
-fast the shared machine was at the time, and are context, not metrics.
+fast the shared machine was at the time, and are context, not metrics.  Its
+wall time, set-up and start-up included, shows what a run costs.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import re
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 RUN = Path(__file__).resolve().parent / "run.py"
@@ -28,10 +30,11 @@ CONTEXT = re.compile(r"^# (?:reference loop (before|after)|cpu (steal) during th
                      r"([0-9.]+|nan)")
 
 
-def one_run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict, dict]:
+def one_run(workload: str, seed: int, seconds: float) -> tuple[dict, dict]:
+    started = time.perf_counter()
     completed = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
+         "--seconds", str(seconds), "--trace", "0"],
         capture_output=True, text=True, timeout=600, check=False,
     )
     if completed.returncode != 0:
@@ -42,6 +45,7 @@ def one_run(workload: str, seed: int, seconds: float, trace: int) -> tuple[dict,
         match.group(1) or match.group(2): float(match.group(3))
         for match in map(CONTEXT.match, lines) if match
     }
+    context["wall"] = time.perf_counter() - started
     return json.loads(lines[-1]), context
 
 
@@ -50,20 +54,19 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=40)
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
+    parser.add_argument("--seconds", type=float, default=30)
     args = parser.parse_args(argv)
 
     values: dict[str, list[float]] = {}
     units: dict[str, str] = {}
     for seed in range(args.first_seed, args.first_seed + args.runs):
-        result, context = one_run(args.workload, seed, args.seconds, args.trace)
+        result, context = one_run(args.workload, seed, args.seconds)
         share = result["failed"] / result["attempted"]
         print(f"seed {seed:3d}: correct={result['correct']} attempted={result['attempted']} "
               f"failed={result['failed']} ({share:.4%}); reference loop "
               f"{context.get('before', float('nan')):.2f} -> "
               f"{context.get('after', float('nan')):.2f} ms; cpu steal "
-              f"{context.get('steal', float('nan')):.1f}%", flush=True)
+              f"{context.get('steal', float('nan')):.1f}%; wall {context['wall']:.1f} s", flush=True)
         print("          " + "  ".join(
             f"{name}={metric['value']:.4g}" for name, metric in result["metrics"].items()
         ), flush=True)

@@ -159,7 +159,7 @@ class NaryOutput(Workload):
     PAIRS = (("author", "title"), ("title", "editor"), ("author", "year"))
     RESTAURANTS = 80
     INCOMPLETE = 12
-    CHAIN = 160
+    CHAIN = 300
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -247,8 +247,10 @@ class AxisCold(Workload):
     #: Fifty sizes 4 nodes apart, so operation costs form a continuum and
     #: the median does not fall into a gap between two size classes.
     SIZES = tuple(range(300, 500, 4))
-    #: Operations of the warm-up at set-up.
-    WARM_UP = 10
+    #: Tree sizes of the warm-up at set-up.  Its trees and queries come from
+    #: a fixed seed, so set-up does the same work whatever the run's seed.
+    WARM_UP_SIZES = SIZES[::5]
+    WARM_UP_SEED = 0
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
@@ -265,10 +267,12 @@ class AxisCold(Workload):
             self.ops.append((doc, [inputs.unary_query(s) for s in steps], steps))
         rng.shuffle(self.ops)
         self.session = Session(execution=execution_policy())
-        # Warm-up: the first operations of the round, which also makes
-        # set-up long enough to time.
-        for op in self.ops[: self.WARM_UP]:
-            self.execute(op)
+        # Warm-up, which also makes set-up long enough to time.
+        warm = random.Random(self.WARM_UP_SEED)
+        for index, size in enumerate(self.WARM_UP_SIZES):
+            doc = inputs.random_tree(f"warm{index}", warm, size)
+            steps = inputs.axis_queries(warm)
+            self.execute((doc, [inputs.unary_query(s) for s in steps], steps))
 
     def expected(self) -> None:
         """Answers from the set-based evaluator, keyed by (tree, query text)."""
@@ -474,8 +478,11 @@ class ServeMix(Workload):
             return True
         index = target
         self._stale.difference_update((name, index) for name in self.current)
-        results = {line["doc"]: line for line in lines if line["type"] == "result"}
-        if sorted(results) != sorted(self.current) or lines[-1]["type"] != "done":
+        result_lines = [line for line in lines if line["type"] == "result"]
+        results = {line["doc"]: line for line in result_lines}
+        # One result line per current document: no document left out, none twice.
+        if (len(result_lines) != len(self.current) or sorted(results) != sorted(self.current)
+                or lines[-1]["type"] != "done"):
             return False
         return all(
             frozenset(map(tuple, results[name]["answers"]))
